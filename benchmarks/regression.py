@@ -59,6 +59,7 @@ Usage::
     python benchmarks/regression.py                   # measure + compare
     python benchmarks/regression.py --update-baseline # refresh BENCH_e7.json
     python benchmarks/regression.py --smoke --relative  # CI
+    python benchmarks/regression.py --cold-only --backends memory,sqlite
 """
 
 from __future__ import annotations
@@ -1210,6 +1211,15 @@ def main(argv: list[str] | None = None) -> int:
         "baseline without touching its other entries",
     )
     parser.add_argument(
+        "--cold-only",
+        action="store_true",
+        help="measure only the cold_search section (both kernel sets, "
+        "per-stage seconds) on --backends and gate it against the "
+        "baseline's cold-search and per-stage entries; with "
+        "--update-baseline the section is merged into the committed "
+        "baseline without touching its other entries",
+    )
+    parser.add_argument(
         "--backward-only",
         action="store_true",
         help="CI smoke of the backward stage alone: one cold-search pass "
@@ -1356,6 +1366,42 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"merged mixed_workload into {args.baseline}")
         return 0
+
+    if args.cold_only:
+        sc = scenario("mondial")
+        cold = {
+            backend: _cold_search(sc, backend, repeats, queries, not args.no_columnar)
+            for backend in backends
+        }
+        current = {"cold_search": cold}
+        if args.output is not None:
+            args.output.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+        for backend, kernelsets in cold.items():
+            for kernelset, entry in kernelsets.items():
+                stages = ", ".join(
+                    f"{stage} {seconds * 1e3:.2f}"
+                    for stage, seconds in sorted(entry["stage_seconds"].items())
+                )
+                print(
+                    f"[{backend}/{kernelset}] cold query "
+                    f"{entry['median_s'] * 1e3:.2f}ms/query ({stages} ms)"
+                )
+        baseline = (
+            json.loads(args.baseline.read_text()) if args.baseline.exists() else None
+        )
+        if args.update_baseline:
+            merged = dict(baseline or {})
+            merged["cold_search"] = cold
+            args.baseline.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+            print(f"merged cold_search into {args.baseline}")
+            return 0
+        if baseline is None:
+            print(f"ERROR: no committed baseline at {args.baseline}")
+            return 2
+        problems = compare(current, baseline, args.tolerance, args.relative)
+        for problem in problems:
+            print(f"PERF REGRESSION: {problem}")
+        return 1 if problems else 0
 
     if args.backward_only:
         sc = scenario("mondial")

@@ -7,7 +7,7 @@ they can serve as Dempster-Shafer hypotheses directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.db.schema import ColumnRef, Schema
 from repro.hmm.states import State, StateKind
@@ -39,18 +39,30 @@ class Configuration:
     It is excluded from identity: two configurations with the same mappings
     are the *same hypothesis* regardless of who scored them, which is what
     lets Dempster's rule intersect evidence from the two operating modes.
+    The hash is computed once at construction (configurations key the
+    combine stage's dictionaries) and recomputed, never unpickled: it
+    derives from salted string hashes.
     """
 
     mappings: tuple[KeywordMapping, ...]
     score: float = 0.0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.mappings))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.mappings == other.mappings
+        return self._hash == other._hash and self.mappings == other.mappings
 
     def __hash__(self) -> int:
-        return hash(self.mappings)
+        return self._hash
+
+    def __reduce__(self):
+        return (Configuration, (self.mappings, self.score))
 
     # -- accessors -----------------------------------------------------------
 

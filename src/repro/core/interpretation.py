@@ -10,7 +10,7 @@ configuration scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.configuration import Configuration
 from repro.steiner.tree import SteinerTree
@@ -36,23 +36,41 @@ class Interpretation:
 
     Identity is (configuration, tree signature): the same structural
     hypothesis may be produced with different scores by differently weighted
-    searches, and must still unify under Dempster's rule.
+    searches, and must still unify under Dempster's rule. The hash combines
+    the two parts' precomputed hashes once at construction, so the DST
+    interning and pignistic ranking hash integers; like theirs, it is
+    recomputed on unpickling.
     """
 
     configuration: Configuration
     tree: SteinerTree
     score: float = 0.0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.configuration._hash, self.tree._hash))
+        )
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Interpretation):
             return NotImplemented
         return (
-            self.configuration == other.configuration
-            and self.tree.signature() == other.tree.signature()
+            self._hash == other._hash
+            and self.configuration == other.configuration
+            and (
+                self.tree is other.tree
+                or self.tree.signature() == other.tree.signature()
+            )
         )
 
     def __hash__(self) -> int:
-        return hash((self.configuration, self.tree.signature()))
+        return self._hash
+
+    def __reduce__(self):
+        return (Interpretation, (self.configuration, self.tree, self.score))
 
     @property
     def tables(self) -> frozenset[str]:

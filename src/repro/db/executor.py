@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.db.database import Database
 from repro.db.fulltext import tokenize_value
@@ -27,7 +27,15 @@ from repro.db.query import Comparison, JoinCondition, Predicate, SelectQuery
 from repro.db.table import Row, Table
 from repro.errors import ExecutionError
 
-__all__ = ["execute", "result_count", "ResultSet", "contains_match", "like_match"]
+__all__ = [
+    "execute",
+    "filter_base",
+    "local_predicates",
+    "result_count",
+    "ResultSet",
+    "contains_match",
+    "like_match",
+]
 
 
 class ResultSet:
@@ -156,20 +164,26 @@ def _match(value: Any, predicate: Predicate) -> bool:
     raise ExecutionError(f"unsupported operator: {op}")  # pragma: no cover
 
 
-def _filter_base(table: Table, predicates: list[Predicate]) -> list[Row]:
-    """Rows of *table* satisfying all local *predicates*.
+def filter_base(
+    table: Table,
+    predicates: list[Predicate],
+    candidates: list[Row] | None = None,
+) -> list[Row]:
+    """Rows of *table* satisfying all local *predicates*, in physical order.
 
     Equality predicates on indexed values short-circuit through a hash
-    index; everything else scans.
+    index; everything else scans. *candidates* replaces the scan's
+    starting set with rows already known to satisfy other predicates of
+    the same occurrence (a storage backend's index-answered keywords).
     """
-    equality = [p for p in predicates if p.op is Comparison.EQ]
-    if equality:
-        seed = equality[0]
-        candidates = table.lookup(seed.column, seed.value)
-        rest = [p for p in predicates if p is not seed]
-    else:
-        candidates = table.rows
-        rest = predicates
+    rest = predicates
+    if candidates is None:
+        seed = next((p for p in predicates if p.op is Comparison.EQ), None)
+        if seed is None:
+            candidates = table.rows
+        else:
+            candidates = table.lookup(seed.column, seed.value)
+            rest = [p for p in predicates if p is not seed]
     if not rest:
         return list(candidates)
     positions = {p: table.column_position(p.column) for p in rest}
@@ -180,17 +194,39 @@ def _filter_base(table: Table, predicates: list[Predicate]) -> list[Row]:
     ]
 
 
-def execute(db: Database, query: SelectQuery) -> ResultSet:
-    """Evaluate *query* against *db* and materialise the results."""
+def local_predicates(query: SelectQuery) -> dict[str, list[Predicate]]:
+    """The WHERE predicates of *query*, grouped by FROM occurrence."""
     local: dict[str, list[Predicate]] = {alias: [] for alias in query.aliases}
     for predicate in query.predicates:
         local[predicate.alias].append(predicate)
+    return local
 
+
+def execute(
+    db: Database,
+    query: SelectQuery,
+    base_rows: Mapping[str, list[Row]] | None = None,
+) -> ResultSet:
+    """Evaluate *query* against *db* and materialise the results.
+
+    *base_rows* supplies, per alias, rows already filtered by that
+    occurrence's local predicates (in physical order, as
+    :func:`filter_base` returns them); aliases it leaves out are scanned
+    here. Joining, projection, DISTINCT and LIMIT are the same either way.
+    """
     tables: dict[str, Table] = {
         ref.alias: db.table(ref.table) for ref in query.tables
     }
-    base_rows: dict[str, list[Row]] = {
-        alias: _filter_base(tables[alias], local[alias]) for alias in query.aliases
+    given = base_rows or {}
+    local = local_predicates(query)
+    # Occurrences without local predicates join against their whole
+    # table, so a join step can probe the table's own hash index.
+    whole = {alias for alias in query.aliases if alias not in given and not local[alias]}
+    base_rows = {
+        alias: given[alias] if alias in given else filter_base(
+            tables[alias], local[alias]
+        )
+        for alias in query.aliases
     }
 
     # Greedy join ordering: start from the most selective occurrence, then
@@ -216,7 +252,9 @@ def execute(db: Database, query: SelectQuery) -> ResultSet:
             bound.append(alias)
             continue
         alias, conditions = step
-        partials = _hash_join(partials, alias, conditions, tables, base_rows[alias])
+        partials = _hash_join(
+            partials, alias, conditions, tables, base_rows[alias], alias in whole
+        )
         remaining.discard(alias)
         bound.append(alias)
         pending = [c for c in pending if c not in conditions]
@@ -256,14 +294,44 @@ def _hash_join(
     conditions: list[JoinCondition],
     tables: dict[str, Table],
     new_rows: list[Row],
+    whole_table: bool = False,
 ) -> list[dict[str, Row]]:
-    """Attach *alias* to each partial tuple through equi-join *conditions*."""
+    """Attach *alias* to each partial tuple through equi-join *conditions*.
+
+    *whole_table* says *new_rows* are all live rows of the table; a
+    single-column join then probes the table's maintained hash index
+    (:meth:`Table.ensure_index`) instead of hashing every row again.
+    Both give the matches of a key in physical row order.
+    """
     # Normalise conditions so the new occurrence is always on the right.
     normal = [
         c if c.right_alias == alias else c.reversed() for c in conditions
     ]
     table = tables[alias]
+    # Resolve every column first: an unknown join column raises even when
+    # no partial tuple is left to join.
     key_positions = tuple(table.column_position(c.right_column) for c in normal)
+    probe_positions = [
+        (c.left_alias, tables[c.left_alias].column_position(c.left_column))
+        for c in normal
+    ]
+    joined: list[dict[str, Row]] = []
+    if not partials:
+        return joined
+    if whole_table and len(normal) == 1:
+        index = table.ensure_index(normal[0].right_column)
+        stored = table.storage_rows
+        probe_alias, probe_position = probe_positions[0]
+        for partial in partials:
+            value = partial[probe_alias][probe_position]
+            if value is None:
+                continue
+            for position in index.get(value, ()):
+                extended = dict(partial)
+                extended[alias] = stored[position]
+                joined.append(extended)
+        return joined
+
     build: dict[tuple[Any, ...], list[Row]] = {}
     for row in new_rows:
         key = tuple(row[p] for p in key_positions)
@@ -271,11 +339,6 @@ def _hash_join(
             continue
         build.setdefault(key, []).append(row)
 
-    probe_positions = [
-        (c.left_alias, tables[c.left_alias].column_position(c.left_column))
-        for c in normal
-    ]
-    joined: list[dict[str, Row]] = []
     for partial in partials:
         key = tuple(partial[a][p] for a, p in probe_positions)
         for row in build.get(key, ()):

@@ -489,7 +489,7 @@ class ColumnarPostings:
         if e is None:
             return []
         lo, hi = int(self.entry_offsets[e]), int(self.entry_offsets[e + 1])
-        return [int(p) for p in self.row_positions[lo:hi]]
+        return self.row_positions[lo:hi].tolist()
 
     def emission_block(
         self,

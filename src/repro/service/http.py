@@ -208,9 +208,10 @@ class QuestHttpServer:
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, threads), thread_name_prefix="quest-http"
         )
-        self._in_flight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
+        #: Live connection handlers, and the writers of those parked
+        #: between requests (idle keep-alive) — the ones drain closes.
+        self._connections: set[asyncio.Task] = set()
+        self._parked: set[asyncio.StreamWriter] = set()
         self._accepting = False
         self._ready = False
         #: Monotone per-process counter behind request ids: correlating a
@@ -252,21 +253,34 @@ class QuestHttpServer:
     async def close(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, tear down.
 
-        New connections are refused immediately; requests already being
-        answered get ``drain_timeout_s`` to complete (SIGTERM semantics —
-        a deploy must not eat answers already being computed).
+        New connections are refused immediately; idle keep-alive
+        connections are closed at once; requests already being answered
+        get ``drain_timeout_s`` to complete (SIGTERM semantics — a deploy
+        must not eat answers already being computed) and their
+        connections close after the response. Every connection handler
+        has ended when this returns, so no handler is left for the event
+        loop's shutdown to cancel.
         """
         self._ready = False
         self._accepting = False
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(
-                self._idle.wait(), timeout=self.settings.drain_timeout_s
+        for writer in list(self._parked):
+            writer.close()
+        # Loop: a connection accepted just before the listener closed
+        # registers its handler while the first wait runs (it then sees
+        # ``_accepting`` False and ends at once).
+        pending: set[asyncio.Task] = set()
+        while self._connections and not pending:
+            _done, pending = await asyncio.wait(
+                set(self._connections), timeout=self.settings.drain_timeout_s
             )
-        except asyncio.TimeoutError:  # pragma: no cover - pathological body
-            pass
+        for task in pending:  # pragma: no cover - pathological body
+            task.cancel()
+        if pending:  # pragma: no cover
+            await asyncio.gather(*pending, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         self._executor.shutdown(wait=False)
 
     # -- connection handling -------------------------------------------------
@@ -274,12 +288,13 @@ class QuestHttpServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections.add(task)
         try:
-            while True:
+            while self._accepting:
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader), timeout=_KEEPALIVE_TIMEOUT_S
-                    )
+                    request = await self._next_request(reader, writer)
                 except (asyncio.TimeoutError, asyncio.IncompleteReadError):
                     break
                 except _BadRequest as exc:
@@ -292,14 +307,7 @@ class QuestHttpServer:
                     break
                 if request is None:
                     break
-                self._in_flight += 1
-                self._idle.clear()
-                try:
-                    status, payload, extra = await self._dispatch(request)
-                finally:
-                    self._in_flight -= 1
-                    if self._in_flight == 0:
-                        self._idle.set()
+                status, payload, extra = await self._dispatch(request)
                 close = request.close or not self._accepting
                 await self._write_response(
                     writer, status, payload, close=close, extra=extra
@@ -314,6 +322,20 @@ class QuestHttpServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+            self._connections.discard(task)
+
+    async def _next_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> _Request | None:
+        """Wait for the connection's next request, parked meanwhile: a
+        drain closes parked connections, which reads here as clean EOF."""
+        self._parked.add(writer)
+        try:
+            return await asyncio.wait_for(
+                self._read_request(reader), timeout=_KEEPALIVE_TIMEOUT_S
+            )
+        finally:
+            self._parked.discard(writer)
 
     async def _read_request(
         self, reader: asyncio.StreamReader

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -57,18 +57,22 @@ STEINER_CACHE_SIZE = 512
 
 @dataclass(frozen=True)
 class SchemaEdge:
-    """An undirected weighted edge of the schema graph."""
+    """An undirected weighted edge of the schema graph.
+
+    ``key`` — the order-insensitive identity of the edge, a frozenset of
+    its two endpoints — is built once at construction: tree signatures
+    and the compact graph's edge interning read it on every lookup.
+    """
 
     left: ColumnRef
     right: ColumnRef
     weight: float
     kind: str  # "intra" (pk-to-attribute) or "join" (pk-fk pair)
     foreign_key: ForeignKey | None = None
+    key: frozenset = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> frozenset:
-        """Order-insensitive identity of the edge."""
-        return frozenset((self.left, self.right))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", frozenset((self.left, self.right)))
 
     def other(self, node: ColumnRef) -> ColumnRef:
         """The endpoint opposite *node*."""

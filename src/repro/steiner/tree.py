@@ -26,6 +26,14 @@ class SteinerTree:
     tree per configuration, so the per-instance ``__dict__`` is worth
     dropping on this hot path.
 
+    The hash is the hash of :meth:`signature`, computed once at
+    construction: interpretations (and through them every Dempster-Shafer
+    hypothesis) hash trees on every lookup. Only the integer is kept —
+    the signature frozenset itself is rebuilt on demand, since the
+    backward stage builds many transient trees and a frozenset cached on
+    each would raise peak memory. The integer derives from salted string
+    hashes, so it is recomputed, never unpickled (see :meth:`__reduce__`).
+
     Attributes:
         terminals: the attributes the tree was required to connect.
         edges: the tree edges (may be empty when all terminals coincide).
@@ -36,6 +44,7 @@ class SteinerTree:
     edges: frozenset
     weight: float
     _nodes: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         nodes: set[ColumnRef] = set(self.terminals)
@@ -43,6 +52,25 @@ class SteinerTree:
             nodes.add(edge.left)
             nodes.add(edge.right)
         object.__setattr__(self, "_nodes", frozenset(nodes))
+        object.__setattr__(self, "_hash", hash(self.signature()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SteinerTree):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.edges == other.edges
+            and self.terminals == other.terminals
+            and self.weight == other.weight
+        )
+
+    def __reduce__(self):
+        return (SteinerTree, (self.terminals, self.edges, self.weight))
 
     # -- structure -----------------------------------------------------------
 

@@ -16,11 +16,11 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.db.database import Database
-from repro.db.executor import ResultSet, execute
-from repro.db.fulltext import FullTextIndex
-from repro.db.query import SelectQuery
+from repro.db.executor import ResultSet, execute, filter_base, local_predicates
+from repro.db.fulltext import FullTextIndex, tokenize_value
+from repro.db.query import Comparison, Predicate, SelectQuery
 from repro.db.schema import ColumnRef
-from repro.db.table import Row
+from repro.db.table import Row, Table
 from repro.storage.base import StorageBackend
 
 __all__ = ["MemoryBackend"]
@@ -163,3 +163,60 @@ class MemoryBackend(StorageBackend):
 
     def execute(self, query: SelectQuery) -> ResultSet:
         return execute(self.database, query)
+
+    def result_count(self, query: SelectQuery, limit: int | None = None) -> int:
+        """Rows *query* yields, with keyword predicates answered by the index.
+
+        Each FROM occurrence's base rows start from the posting lists of
+        its single-token keywords (intersected when there are several),
+        mapped to physical rows. The index tokenizes every column's value
+        with the same :func:`tokenize_value` the executor's CONTAINS uses,
+        so a single-token keyword has exactly the rows of its posting
+        list. Every other predicate — phrases, LIKE, comparisons —
+        filters those rows (or scans the table) as the executor does.
+        Joining, DISTINCT and LIMIT then run through the executor, so the
+        count equals ``len(execute(query))``.
+        """
+        index = self.fulltext
+        local = local_predicates(query)
+        # Batch applies mutate the tables and the index under this lock,
+        # so the postings, the rows and the tables' join indexes all come
+        # from one state of the data.
+        with index._lock:
+            base_rows = {
+                ref.alias: self._base_rows(
+                    index, self.database.table(ref.table), local[ref.alias]
+                )
+                for ref in query.tables
+                if local[ref.alias]
+            }
+            count = len(execute(self.database, query, base_rows))
+        return count if limit is None else min(count, limit)
+
+    @staticmethod
+    def _base_rows(
+        index: FullTextIndex, table: Table, predicates: list[Predicate]
+    ) -> list[Row]:
+        positions: list[int] | set[int] | None = None
+        rest: list[Predicate] = []
+        for predicate in predicates:
+            table.column_position(predicate.column)  # unknown: raise as a scan would
+            keyword = predicate.value
+            if (
+                predicate.op is Comparison.CONTAINS
+                and isinstance(keyword, str)
+                and tokenize_value(keyword) == [keyword.casefold()]
+            ):
+                found = index.matching_row_positions(
+                    keyword, ColumnRef(table.name, predicate.column)
+                )
+                positions = (
+                    found if positions is None else set(positions).intersection(found)
+                )
+            else:
+                rest.append(predicate)
+        if positions is None:
+            return filter_base(table, rest)
+        rows = table.storage_rows
+        candidates = [rows[p] for p in sorted(positions)]
+        return filter_base(table, rest, candidates) if rest else candidates

@@ -13,8 +13,12 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +34,11 @@ from repro.service import (
     ServiceSettings,
     TenantQuotas,
 )
-from repro.service.http import TENANT_HEADER, explanation_payload
+from repro.service.http import (
+    _KEEPALIVE_TIMEOUT_S,
+    TENANT_HEADER,
+    explanation_payload,
+)
 
 
 # -- per-tenant quotas (no sockets) ------------------------------------------
@@ -392,6 +400,28 @@ class TestDrain:
                 "127.0.0.1", port, timeout=2
             ).request("GET", "/healthz")
 
+    def test_drain_closes_idle_keep_alive_connections(self):
+        """An idle keep-alive client must neither stall the drain (the
+        3.12+ ``wait_closed`` waits for every connection) nor leave a
+        handler for the loop's shutdown to cancel (3.11 logs that
+        cancellation as an unhandled ``CancelledError`` traceback).
+
+        Runs in a subprocess so its stderr is the server's alone.
+        """
+        result = subprocess.run(
+            [sys.executable, "-c", _IDLE_DRAIN_SCRIPT.format(tests=str(TESTS_DIR))],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _pythonpath()},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        report = json.loads(result.stdout.strip().splitlines()[-1])
+        assert report["first_status"] == 200
+        assert report["eof_after_drain"]
+        assert report["drain_s"] < _KEEPALIVE_TIMEOUT_S / 10
+
     def test_readyz_reports_draining(self, mini_engine):
         service = QuestService(mini_engine)
         with _ServerThread(service) as harness:
@@ -401,6 +431,49 @@ class TestDrain:
             assert payload["status"] == "unhealthy"
             assert "draining" in payload["reasons"]
             harness.server._ready = True
+
+
+TESTS_DIR = Path(__file__).resolve().parent.parent
+
+
+def _pythonpath() -> str:
+    src = str(TESTS_DIR.parent / "src")
+    return os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+
+#: One idle keep-alive client, then a drain; prints a JSON report.
+_IDLE_DRAIN_SCRIPT = """
+import asyncio, json, socket, sys, time
+sys.path.insert(0, {tests!r})
+from conftest import build_mini_db
+from repro.core import Quest
+from repro.service import QuestHttpServer, QuestService
+from repro.storage import create_backend
+from repro.wrapper import FullAccessWrapper
+
+async def main():
+    backend = create_backend("memory", build_mini_db())
+    server = QuestHttpServer(QuestService(Quest(FullAccessWrapper(backend))))
+    await server.start()
+    def first_request():
+        client = socket.create_connection(("127.0.0.1", server.port))
+        client.sendall(b"GET /healthz HTTP/1.1\\r\\nHost: quest\\r\\n\\r\\n")
+        return client, client.recv(65536)
+    client, head = await asyncio.get_running_loop().run_in_executor(
+        None, first_request
+    )
+    started = time.perf_counter()
+    await server.close()
+    return client, head, time.perf_counter() - started
+
+client, head, drain_s = asyncio.run(main())
+client.settimeout(5)
+print(json.dumps({{
+    "first_status": int(head.split(b" ")[1]),
+    "drain_s": drain_s,
+    "eof_after_drain": client.recv(1) == b"",
+}}))
+"""
 
 
 class TestExplanationPayload:
